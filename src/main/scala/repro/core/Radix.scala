@@ -16,6 +16,11 @@ object Radix {
   /** Highest usable bit for a positive Long bias. */
   val MaxBits: Int = 63
 
+  /** Exclusive bound on a λ-scaled bias: 2^62, so the integer part stays
+    * clear of the sign bit (bit 63).
+    */
+  private val MaxScaled: Double = math.pow(2, 62)
+
   /** Bit positions set in `w` — the exponents of D(w) (Eq. 3). */
   def decompose(w: Long): Array[Int] = {
     require(w > 0, s"bias must be positive: $w")
@@ -53,11 +58,15 @@ object Radix {
   /** Scaled decomposition of a floating-point bias (paper §4.3).
     *
     * @return (integer part of λ·w, decimal remainder of λ·w ∈ [0,1))
+    * @throws IllegalArgumentException unless w and λ are positive and finite
+    *         and λ·w < 2^62 — an infinite bias would make the sampler's
+    *         total mass infinite, and sampling would never return
     */
   def scaleFloat(w: Double, lambda: Double): (Long, Double) = {
-    require(w > 0.0, s"bias must be positive: $w")
-    require(lambda > 0.0, s"lambda must be positive: $lambda")
+    require(w > 0.0 && !w.isInfinite, s"bias must be positive and finite: $w")
+    require(lambda > 0.0 && !lambda.isInfinite, s"lambda must be positive and finite: $lambda")
     val scaled = w * lambda
+    require(scaled < MaxScaled, s"λ-scaled bias must be below 2^62: $w × λ=$lambda = $scaled")
     val intPart = math.floor(scaled).toLong
     val dec = scaled - intPart
     (intPart, dec)

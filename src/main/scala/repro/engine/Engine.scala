@@ -8,8 +8,9 @@ import repro.graph.{Edge, Update}
   * Round semantics follow the paper's evaluation workflow: each round first
   * applies `batchSize` updates, then runs the random-walk application. The
   * harness fans a round out as one Spark task per vertex slice (ownership
-  * `v % stride == slice`, the 1-D partitioning of supplement §9.1); each
-  * task calls [[applyVertexUpdates]] for its vertices' updates in timestamp
+  * `v % stride == slice`, the 1-D partitioning of supplement §9.1): the
+  * driver ships each slice's updates as one RDD partition, and the task
+  * calls [[applyVertexUpdates]] for its vertices' updates in timestamp
   * order and then [[postRoundSlice]] for its slice's per-round rebuild work
   * (alias/CDF reconstruction for the static-sampler baselines, graph reload
   * for FlowWalker, nothing for Bingo). Tasks own disjoint vertices, so no

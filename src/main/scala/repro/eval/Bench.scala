@@ -11,9 +11,11 @@ import repro.walk.Walks
   *
   * Parallelisation mirrors the GPU design through Spark: a round is one
   * Spark job with one task per vertex slice (`v % P`, the 1-D partitioning
-  * of supplement §9.1); each task applies its vertices' updates and then
-  * runs its slice of the engine's per-round rebuild. Walks fan out as a
-  * Spark Dataset of walkers.
+  * of supplement §9.1). The driver splits the round into P slices of
+  * primitive columns ([[sliceRound]]) and ships them as the P partitions of
+  * an RDD, so each task receives only its own vertices' updates; it applies
+  * them and then runs its slice of the engine's per-round rebuild. Walks
+  * fan out as an RDD range of walker ids ([[Walks.countPerTask]]).
   *
   * **Timing.** Reported times are the per-round critical path measured
   * *inside* the tasks (max task time per round, summed over rounds) — the
@@ -50,25 +52,104 @@ object Bench {
     def totalSec: Double = updateSec + walkSec
   }
 
-  /** Apply one update round as a single Spark job (one task per slice).
+  /** One task's share of an update round: the updates of the vertices
+    * `v % stride == slice`, as primitive columns grouped by `src`, in `ts`
+    * order within each `src`.
+    */
+  final case class RoundSlice(
+      slice: Int,
+      src: Array[Int],
+      ts: Array[Long],
+      insert: Array[Boolean],
+      dst: Array[Int],
+      bias: Array[Double],
+  ) {
+
+    /** Calls `f(src, updates)` once per vertex of the slice, updates in `ts` order. */
+    def foreachVertex(f: (Int, Seq[Update]) => Unit): Unit = {
+      var i = 0
+      while (i < src.length) {
+        val us = Vector.newBuilder[Update]
+        var j = i
+        while (j < src.length && src(j) == src(i)) {
+          us += Update(ts(j), insert(j), src(j), dst(j), bias(j))
+          j += 1
+        }
+        f(src(i), us.result())
+        i = j
+      }
+    }
+  }
+
+  /** Split a round into `p` slices, slice `s` holding the updates with
+    * `src % p == s`, grouped by ascending `src` and in `ts` order within
+    * each `src` (updates with equal `ts` keep their round order, as in
+    * [[WalkEngine.applyRoundLocal]]). Every slice is emitted, empty ones
+    * too, so every task runs its [[WalkEngine.postRoundSlice]].
+    *
+    * @throws IllegalArgumentException if an update's `src` lies outside `[0, numVertices)`
+    */
+  def sliceRound(round: Seq[Update], p: Int, numVertices: Int): Array[RoundSlice] = {
+    require(p >= 1, s"need at least one slice: $p")
+    // generated rounds arrive in ts order; only other input pays for a sort
+    val byTs = if (isTsOrdered(round)) round else round.sortBy(_.ts)
+    // stable counting sort by src: `next(v)` first counts v's updates, then
+    // holds the position of v's next update in its slice
+    val next = new Array[Int](numVertices)
+    byTs.foreach { u =>
+      require(u.src >= 0 && u.src < numVertices, s"update source outside [0, $numVertices): $u")
+      next(u.src) += 1
+    }
+    val sizes = new Array[Int](p)
+    var v = 0
+    while (v < numVertices) {
+      val n = next(v)
+      next(v) = sizes(v % p)
+      sizes(v % p) += n
+      v += 1
+    }
+    val slices = Array.tabulate(p) { s =>
+      val n = sizes(s)
+      RoundSlice(s, new Array[Int](n), new Array[Long](n), new Array[Boolean](n), new Array[Int](n), new Array[Double](n))
+    }
+    byTs.foreach { u =>
+      val s = slices(u.src % p)
+      val i = next(u.src)
+      s.src(i) = u.src; s.ts(i) = u.ts; s.insert(i) = u.insert; s.dst(i) = u.dst; s.bias(i) = u.bias
+      next(u.src) = i + 1
+    }
+    slices
+  }
+
+  private def isTsOrdered(round: Seq[Update]): Boolean = {
+    val it = round.iterator
+    var last = Long.MinValue
+    while (it.hasNext) {
+      val t = it.next().ts
+      if (t < last) return false
+      last = t
+    }
+    true
+  }
+
+  /** Apply one update round as a single Spark job: one RDD partition, and so
+    * one task, per slice; each task deserializes only its own slice.
     *
     * @return critical-path seconds: the slowest task's in-task time
+    * @throws IllegalArgumentException if an update's `src` is not a vertex of
+    *         the engine; the round is then not applied at all
     */
   def applyRoundSpark(spark: SparkSession, handle: String, round: Seq[Update]): Double = {
-    import spark.implicits._
-    val p = math.max(1, spark.sparkContext.defaultParallelism)
-    val bySlice: Map[Int, Seq[Update]] = round.groupBy(u => u.src % p)
-    // spark.range(0, p, 1, p): exactly one slice per task
-    val taskNanos = spark
-      .range(0, p, 1, p)
-      .map { sliceL =>
-        val slice = sliceL.toInt
+    val sc = spark.sparkContext
+    val p = math.max(1, sc.defaultParallelism)
+    val slices = sliceRound(round, p, GraphStore.get(handle).numVertices)
+    val taskNanos = sc
+      .parallelize(slices.toSeq, p)
+      .map { s =>
         val eng = GraphStore.get(handle)
         val t0 = System.nanoTime()
-        bySlice.get(slice).foreach {
-          _.groupBy(_.src).foreach { case (src, us) => eng.applyVertexUpdates(src, us.sortBy(_.ts)) }
-        }
-        eng.postRoundSlice(slice, p)
+        s.foreachVertex(eng.applyVertexUpdates)
+        eng.postRoundSlice(s.slice, p)
         System.nanoTime() - t0
       }
       .collect()
@@ -83,21 +164,7 @@ object Bench {
       walkers: Int,
       seed: Long,
   ): (Long, Double) = {
-    import spark.implicits._
-    val perTask = spark
-      .range(walkers)
-      .mapPartitions { it =>
-        val eng = GraphStore.get(handle)
-        val t0 = System.nanoTime()
-        var steps = 0L
-        it.foreach { wid =>
-          val rng = Walks.walkerRng(seed, wid)
-          val start = (wid % eng.numVertices).toInt
-          steps += Walks.walkPath(eng, app, start, rng).length - 1
-        }
-        Iterator.single((steps, System.nanoTime() - t0))
-      }
-      .collect()
+    val perTask = Walks.countPerTask(spark.sparkContext, handle, app, walkers, seed)
     (perTask.map(_._1).sum, perTask.map(_._2).max / 1e9)
   }
 

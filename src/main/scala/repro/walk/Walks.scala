@@ -1,6 +1,7 @@
 package repro.walk
 
 import java.util.SplittableRandom
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.engine.{GraphStore, WalkEngine}
@@ -8,11 +9,12 @@ import repro.engine.{GraphStore, WalkEngine}
 /** The random-walk applications of paper §6.1 over any [[WalkEngine]].
   *
   * Mirrors Bingo's kernels: random_walk_deepwalk, random_walk_node2vec,
-  * random_walk_ppr and random_walk_simple_sampling. Walkers are fanned out
-  * as a Spark `Dataset` (one row per walker, partitioned across cores — the
-  * stand-in for GPU thread parallelism); each task walks locally against the
-  * engine registered in [[GraphStore]], and results come back as DataFrames
-  * for downstream relational aggregation (visit counts etc.).
+  * random_walk_ppr and random_walk_simple_sampling. Walker ids are fanned
+  * out across cores as Spark partitions (the stand-in for GPU thread
+  * parallelism); each task walks locally against the engine registered in
+  * [[GraphStore]]. The bench action counts steps over an RDD
+  * ([[countPerTask]]); full paths come back as a DataFrame for downstream
+  * relational aggregation (visit counts etc.).
   */
 object Walks {
 
@@ -113,8 +115,14 @@ object Walks {
   def walkerRng(seed: Long, walkerId: Long): SplittableRandom =
     new SplittableRandom(seed ^ (walkerId * 0x9E3779B97F4A7C15L))
 
-  /** Fan `numWalkers` walkers out across Spark tasks; walker `w` starts at
-    * vertex `w mod |V|` (the paper launches vertex-count walkers).
+  /** Walk one partition's walkers: walker `w` starts at vertex `w mod |V|`
+    * (the paper launches vertex-count walkers) with [[walkerRng]]`(seed, w)`.
+    * The one walker loop behind [[paths]], [[countPerTask]] and [[runCounted]].
+    */
+  private def walkAll(eng: WalkEngine, app: WalkApp, seed: Long, wids: Iterator[Long]): Iterator[(Long, Array[Int])] =
+    wids.map(wid => (wid, walkPath(eng, app, (wid % eng.numVertices).toInt, walkerRng(seed, wid))))
+
+  /** Fan `numWalkers` walkers out across Spark tasks.
     *
     * @return DataFrame (walker: long, pos: int, vertex: int) — one row per
     *         visited vertex in path order
@@ -124,35 +132,34 @@ object Walks {
     spark
       .range(numWalkers)
       .mapPartitions { it =>
-        val eng = GraphStore.get(handle)
-        it.flatMap { wid =>
-          val rng = walkerRng(seed, wid)
-          val start = (wid % eng.numVertices).toInt
-          walkPath(eng, app, start, rng).iterator.zipWithIndex.map { case (v, pos) => (wid, pos, v) }
+        walkAll(GraphStore.get(handle), app, seed, it.map(_.longValue)).flatMap { case (wid, path) =>
+          path.iterator.zipWithIndex.map { case (v, pos) => (wid, pos, v) }
         }
       }
       .toDF("walker", "pos", "vertex")
   }
 
+  /** Run walks as `sc.defaultParallelism` RDD partitions of walker ids,
+    * without materialising paths.
+    *
+    * @return per task: (steps sampled, in-task nanoseconds)
+    */
+  def countPerTask(sc: SparkContext, handle: String, app: WalkApp, numWalkers: Int, seed: Long): Array[(Long, Long)] =
+    sc.range(0, numWalkers, 1, math.max(1, sc.defaultParallelism))
+      .mapPartitions { it =>
+        val eng = GraphStore.get(handle)
+        val t0 = System.nanoTime()
+        var steps = 0L
+        walkAll(eng, app, seed, it).foreach { case (_, path) => steps += path.length - 1 }
+        Iterator.single((steps, System.nanoTime() - t0))
+      }
+      .collect()
+
   /** Run walks and return only the total number of steps sampled — the
     * cheap bench action (avoids materialising paths on the driver).
     */
-  def runCounted(spark: SparkSession, handle: String, app: WalkApp, numWalkers: Int, seed: Long): Long = {
-    import spark.implicits._
-    spark
-      .range(numWalkers)
-      .mapPartitions { it =>
-        val eng = GraphStore.get(handle)
-        var steps = 0L
-        it.foreach { wid =>
-          val rng = walkerRng(seed, wid)
-          val start = (wid % eng.numVertices).toInt
-          steps += walkPath(eng, app, start, rng).length - 1
-        }
-        Iterator.single(steps)
-      }
-      .reduce(_ + _)
-  }
+  def runCounted(spark: SparkSession, handle: String, app: WalkApp, numWalkers: Int, seed: Long): Long =
+    countPerTask(spark.sparkContext, handle, app, numWalkers, seed).map(_._1).sum
 
   /** Visit frequency per vertex — the PPR / SimRank / influence indicator
     * (paper §1), computed relationally.

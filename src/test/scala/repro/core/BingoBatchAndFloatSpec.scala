@@ -2,13 +2,19 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalactic.Tolerance
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.{Seconds, Span}
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 import scala.util.Random
 import repro.StatCheck
 
 /** Targeted tests for the batched two-phase delete-and-swap (paper §5.2,
   * Fig. 10b) and the floating-point bias mode (paper §4.3).
   */
-class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
+class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance with TimeLimits {
+
+  private implicit val signaler: Signaler = ThreadSignaler
 
   // ---------------- two-phase delete-and-swap ----------------
 
@@ -178,5 +184,30 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     ws.indices.foreach { i =>
       StatCheck.assertProbEqual(vi.structProbabilityOf(i), vf.structProbabilityOf(i), 1e-9)
     }
+  }
+
+  // ---------------- bias contract ----------------
+
+  // off the test thread, so a sampler that never returns fails this test
+  // instead of hanging the whole run
+  private def bounded[T](body: => T): T = {
+    val f = Future(body)(ExecutionContext.global)
+    failAfter(Span(20, Seconds))(Await.ready(f, Duration.Inf))
+    f.value.get.get
+  }
+
+  test("infinite, NaN and ≥2^62 λ-scaled biases are rejected and leave the vertex intact") {
+    val v = BingoVertex.build(Seq((1, 3.0), (2, 5.0)))
+    bounded(intercept[IllegalArgumentException](v.insert(3, Double.PositiveInfinity)))
+    bounded(intercept[IllegalArgumentException](v.applyBatch(Seq((4, Double.PositiveInfinity)), Seq.empty)))
+    bounded(intercept[IllegalArgumentException](v.insert(5, Double.NaN)))
+    bounded(intercept[IllegalArgumentException](v.insert(6, math.pow(2, 62))))
+    bounded(intercept[IllegalArgumentException](new BingoVertex(lambda = 1e9).insert(7, 5e9)))
+    v.validate()
+    assert(v.degree == 2)
+    bounded((0 until 100).foreach(i => assert(Set(1, 2)(v.sample(new java.util.SplittableRandom(i))))))
+    v.insert(8, math.pow(2, 61)) // the largest usable bit still works
+    v.validate()
+    assert(v.expectedProbabilityOf(8) === math.pow(2, 61) / (math.pow(2, 61) + 8) +- 1e-12)
   }
 }
