@@ -91,8 +91,7 @@ object Bench {
     */
   def sliceRound(round: Seq[Update], p: Int, numVertices: Int): Array[RoundSlice] = {
     require(p >= 1, s"need at least one slice: $p")
-    // generated rounds arrive in ts order; only other input pays for a sort
-    val byTs = if (isTsOrdered(round)) round else round.sortBy(_.ts)
+    val byTs = round.sortBy(_.ts)
     // stable counting sort by src: `next(v)` first counts v's updates, then
     // holds the position of v's next update in its slice
     val next = new Array[Int](numVertices)
@@ -119,17 +118,6 @@ object Bench {
       next(u.src) = i + 1
     }
     slices
-  }
-
-  private def isTsOrdered(round: Seq[Update]): Boolean = {
-    val it = round.iterator
-    var last = Long.MinValue
-    while (it.hasNext) {
-      val t = it.next().ts
-      if (t < last) return false
-      last = t
-    }
-    true
   }
 
   /** Apply one update round as a single Spark job: one RDD partition, and so
