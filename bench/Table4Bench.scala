@@ -13,27 +13,19 @@ import repro.eval.{Bench, Tables}
 class Table4Bench extends AnyFunSuite with SparkSpec {
 
   test("Table 4: group conversion ratios on LJ (mixed updates)") {
-    val out = Tables.table4(spark, Bench.Params())
+    val rows = Tables.table4Rows(spark, Bench.Params())
+    val out = Tables.table4Format(rows)
     println(out)
     BenchOutput.write("table4.txt", out)
 
-    // re-derive the stats for assertions
-    val g = repro.graph.GraphGen.generate(repro.graph.GraphGen.LJ)
-    val plan = repro.graph.UpdateGen.plan(
-      g.edges, repro.graph.UpdateMode.Mixed, Bench.Params().batchSize, Bench.Params().rounds, Bench.Params().seed)
-    val engine = new repro.engine.BingoEngine(g.numVertices)
-    plan.initialEdges.groupBy(_.src).foreach { case (src, es) =>
-      engine.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
-    }
-    engine.conversions.reset()
-    plan.rounds.foreach(engine.applyRoundLocal)
-    val cs = engine.conversions
+    // assert on the Spark run's own stats
+    val cs = rows.conversions
 
     assert(cs.totalTouches > 0L)
     // paper shape: per round, only a tiny fraction of each group population
     // converts (paper max entry 0.47%; we allow slack — our degrees are ~8x
     // smaller, so a single update moves |G|/d ratios further)
-    val census = engine.groupTypeCensus
+    val census = rows.census
     GroupType.All.foreach { from =>
       val pop = math.max(1L, census.getOrElse(from, 0L)) * Bench.Params().rounds
       GroupType.All.foreach { to =>

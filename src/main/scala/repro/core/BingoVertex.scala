@@ -39,7 +39,6 @@ final class BingoVertex(
   // ---- Hornet-style dynamic neighbor arrays ("slots") -------------------
   private var dstArr = new Array[Int](InitialCap)
   private var biasIntArr = new Array[Long](InitialCap) // λ-scaled integer part
-  private var rawBiasArr = new Array[Double](InitialCap) // pre-λ bias (introspection only)
   private var decArr: Array[Double] = null // decimal remainders; allocated on demand
   private var d = 0
 
@@ -66,7 +65,6 @@ final class BingoVertex(
 
   def degree: Int = d
   def dstAt(slot: Int): Int = dstArr(slot)
-  def rawBiasAt(slot: Int): Double = rawBiasArr(slot)
   def scaledIntBiasAt(slot: Int): Long = biasIntArr(slot)
   def decimalAt(slot: Int): Double = if (decArr == null) 0.0 else decArr(slot)
   def contains(dst: Int): Boolean = { val b = slotsByDst.get(dst); b != null && b.nonEmpty }
@@ -314,8 +312,7 @@ final class BingoVertex(
   def decimalGroupSize: Int = decLen
 
   /** Retained bytes of the sampling structures (adjacency slots + groups +
-    * inverted indexes + decimal group + inter-group alias). `rawBiasArr` is
-    * test instrumentation and excluded.
+    * inverted indexes + decimal group + inter-group alias).
     */
   def memoryBytes: Long = {
     var m = dstArr.length.toLong * (4 + 8) // dst + scaled bias
@@ -395,7 +392,6 @@ final class BingoVertex(
     val slot = d
     dstArr(slot) = dst
     biasIntArr(slot) = ip
-    rawBiasArr(slot) = bias
     if (dec > 0.0) {
       if (decArr == null) decArr = new Array[Double](dstArr.length)
       decArr(slot) = dec
@@ -413,7 +409,6 @@ final class BingoVertex(
     while (cap < need) cap *= 2
     dstArr = java.util.Arrays.copyOf(dstArr, cap)
     biasIntArr = java.util.Arrays.copyOf(biasIntArr, cap)
-    rawBiasArr = java.util.Arrays.copyOf(rawBiasArr, cap)
     if (decArr != null) decArr = java.util.Arrays.copyOf(decArr, cap)
     var k = 0
     while (k <= Radix.MaxBits) {
@@ -507,7 +502,6 @@ final class BingoVertex(
       reindexSlot(last, slot)
       dstArr(slot) = dstArr(last)
       biasIntArr(slot) = biasIntArr(last)
-      rawBiasArr(slot) = rawBiasArr(last)
       if (decArr != null) decArr(slot) = decArr(last)
     }
     if (decArr != null) decArr(last) = 0.0
@@ -565,7 +559,6 @@ final class BingoVertex(
         reindexSlot(moved, dead)
         dstArr(dead) = dstArr(moved)
         biasIntArr(dead) = biasIntArr(moved)
-        rawBiasArr(dead) = rawBiasArr(moved)
         if (decArr != null) decArr(dead) = decArr(moved)
       }
     }

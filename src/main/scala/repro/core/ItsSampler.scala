@@ -10,9 +10,11 @@ import java.util.SplittableRandom
   * O(log d) sampling, O(1) amortised insertion (append one prefix entry),
   * O(d) deletion (the suffix of the CDF must be rebuilt).
   */
-final class ItsSampler extends Serializable {
-  private var weights = new Array[Double](4)
-  private var cdf = new Array[Double](4) // cdf(i) = Σ_{j<=i} w_j
+final class ItsSampler private (capacity: Int) extends Serializable {
+  def this() = this(4)
+
+  private var weights = new Array[Double](capacity)
+  private var cdf = new Array[Double](capacity) // cdf(i) = Σ_{j<=i} w_j
   private var n = 0
 
   def size: Int = n
@@ -65,9 +67,13 @@ final class ItsSampler extends Serializable {
 }
 
 object ItsSampler {
-  def apply(ws: Seq[Double]): ItsSampler = {
-    val s = new ItsSampler
-    ws.foreach(s.insert)
+  def apply(ws: Seq[Double]): ItsSampler = apply(ws.toArray, ws.length)
+
+  /** Sampler over `ws(0 until n)`, built in one prefix-sum pass. */
+  def apply(ws: Array[Double], n: Int): ItsSampler = {
+    val s = new ItsSampler(math.max(n, 1))
+    var i = 0
+    while (i < n) { s.insert(ws(i)); i += 1 }
     s
   }
 }

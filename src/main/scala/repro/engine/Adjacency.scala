@@ -74,20 +74,4 @@ final class Adjacency(val numVertices: Int) extends Serializable {
   def hasEdge(u: Int, v: Int): Boolean = vertices(u).contains(v)
   def insert(u: Int, v: Int, w: Double): Unit = vertices(u).insert(v, w)
   def delete(u: Int, v: Int): Boolean = vertices(u).delete(v)
-
-  def edgeCount: Long = { var s = 0L; var i = 0; while (i < numVertices) { s += vertices(i).len; i += 1 }; s }
-  def memoryBytes: Long = { var s = 0L; var i = 0; while (i < numVertices) { s += vertices(i).memoryBytes; i += 1 }; s }
-
-  /** Exact per-neighbor distribution of vertex `u` (dups merged by dst). */
-  def distribution(u: Int): Map[Int, Double] = {
-    val a = vertices(u)
-    val tot = a.totalBias
-    if (tot == 0.0) Map.empty
-    else {
-      val m = scala.collection.mutable.Map[Int, Double]().withDefaultValue(0.0)
-      var i = 0
-      while (i < a.len) { m(a.dst(i)) += a.bias(i) / tot; i += 1 }
-      m.toMap
-    }
-  }
 }

@@ -227,7 +227,7 @@ object Tables {
   // =========================================================================
 
   def frameworks: Seq[EngineFactory] =
-    Seq(BingoEngine.factory(), KnightKingEngine.factory, GSamplerEngine.factory, FlowWalkerEngine.factory)
+    Seq(BingoEngine.factory(), ReloadingEngine.KnightKing, ReloadingEngine.GSampler, ReloadingEngine.FlowWalker)
 
   def table3Apps(walkLength: Int): Seq[Walks.WalkApp] =
     Seq(Walks.DeepWalk(walkLength), Walks.Node2vec(walkLength, 0.5, 2.0), Walks.Ppr(1.0 / 80, 400))
@@ -301,22 +301,25 @@ object Tables {
   // Table 4 — group-type conversion ratios on LJ during mixed updates
   // =========================================================================
 
-  def table4(spark: SparkSession, params: Bench.Params = Bench.Params()): String = {
+  /** What the Spark run of Table 4 leaves: the conversions caused by the
+    * update rounds, the group-type census after them, and the round count.
+    */
+  final case class Table4Rows(conversions: ConversionStats, census: Map[GroupType, Long], rounds: Int)
+
+  def table4Rows(spark: SparkSession, params: Bench.Params): Table4Rows = {
     val g = GraphGen.generate(GraphGen.LJ)
     val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, params.batchSize, params.rounds, params.seed)
-    val engine = new BingoEngine(g.numVertices)
-    plan.initialEdges.groupBy(_.src).foreach { case (src, es) =>
-      engine.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
-    }
+    val engine = BingoEngine.factory().build(g.numVertices, plan.initialEdges).asInstanceOf[BingoEngine]
     engine.conversions.reset() // count conversions caused by updates only
     val handle = "table4-lj"
     GraphStore.register(handle, engine)
     try plan.rounds.foreach(r => Bench.applyRoundSpark(spark, handle, r))
     finally GraphStore.remove(handle)
+    Table4Rows(engine.conversions, engine.groupTypeCensus, params.rounds)
+  }
 
-    val cs = engine.conversions
-    val census = engine.groupTypeCensus
-    val rounds = params.rounds
+  def table4Format(rows: Table4Rows): String = {
+    val Table4Rows(cs, census, rounds) = rows
     val sb = new StringBuilder
     sb.append(
       "Table 4: group conversion ratio in LJ graph — per-round fraction of type-X groups converting to Y\n" +
@@ -340,4 +343,7 @@ object Tables {
     )
     sb.toString
   }
+
+  def table4(spark: SparkSession, params: Bench.Params = Bench.Params()): String =
+    table4Format(table4Rows(spark, params))
 }

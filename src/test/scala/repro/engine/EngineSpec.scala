@@ -17,9 +17,9 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     BingoEngine.factory() -> "Bingo-batched",
     BingoEngine.factory(streaming = true) -> "Bingo-streaming",
     BingoEngine.factory(adaptive = false) -> "Bingo-baseline",
-    KnightKingEngine.factory -> "KnightKing",
-    GSamplerEngine.factory -> "gSampler",
-    FlowWalkerEngine.factory -> "FlowWalker",
+    ReloadingEngine.KnightKing -> "KnightKing",
+    ReloadingEngine.GSampler -> "gSampler",
+    ReloadingEngine.FlowWalker -> "FlowWalker",
   )
 
   /** Tiny deterministic graph + plan for exhaustive per-round checking. */
@@ -39,13 +39,16 @@ class EngineSpec extends AnyFunSuite with Tolerance {
       s -> es.groupBy(_.dst).map { case (d, dd) => d -> dd.map(_.bias).sum / tot }
     }
 
-  private def checkEngine(eng: WalkEngine, truth: Map[Int, Map[Int, Double]], v: Int): Unit = {
+  /** `live` is the live edge multiset: one `Edge` per live instance. */
+  private def checkEngine(eng: WalkEngine, live: Iterable[Edge], v: Int): Unit = {
+    val truth = groundTruth(live)
+    val degree = live.groupBy(_.src).map { case (s, es) => s -> es.size }
     (0 until v).foreach { u =>
       val exp = truth.getOrElse(u, Map.empty)
       val got = eng.exactDistribution(u)
       assert(got.keySet == exp.keySet, s"${eng.name} vertex $u: ${got.keySet} vs ${exp.keySet}")
       exp.foreach { case (d, p) => StatCheck.assertProbEqual(got(d), p, 1e-9) }
-      assert(eng.outDegree(u) == (if (exp.isEmpty) 0 else eng.outDegree(u)))
+      assert(eng.outDegree(u) == degree.getOrElse(u, 0), s"${eng.name} vertex $u")
     }
   }
 
@@ -53,7 +56,7 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     test(s"$tag: initial build matches ground truth") {
       val (v, edges) = smallWorld(1)
       val eng = f.build(v, edges)
-      checkEngine(eng, groundTruth(edges), v)
+      checkEngine(eng, edges, v)
     }
   }
 
@@ -62,13 +65,13 @@ class EngineSpec extends AnyFunSuite with Tolerance {
       val (v, edges) = smallWorld(2)
       val plan = UpdateGen.plan(edges, mode, batchSize = 15, rounds = 4, seed = 5L)
       val eng = f.build(v, plan.initialEdges)
-      checkEngine(eng, groundTruth(plan.initialEdges), v)
+      checkEngine(eng, plan.initialEdges, v)
       plan.rounds.zipWithIndex.foreach { case (round, k) =>
         eng.applyRoundLocal(round)
         val liveEdges = plan
           .edgeMultisetAfter(k + 1)
           .flatMap { case ((s, d, b), c) => Seq.fill(c)(Edge(s, d, b)) }
-        checkEngine(eng, groundTruth(liveEdges), v)
+        checkEngine(eng, liveEdges, v)
       }
     }
   }
@@ -122,12 +125,37 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     }
   }
 
+  test("every engine rejects a non-finite or non-positive insert bias and leaves the vertex unchanged") {
+    val (v, edges) = smallWorld(8)
+    for ((f, tag) <- factories; bad <- Seq(Double.PositiveInfinity, Double.NaN, -3.0, 0.0)) {
+      val eng = f.build(v, edges)
+      val (deg, dist) = (eng.outDegree(0), eng.exactDistribution(0))
+      intercept[IllegalArgumentException](eng.applyRoundLocal(Seq(Update(0L, insert = true, 0, 1, bad))))
+      assert(eng.outDegree(0) == deg, s"$tag, bias $bad")
+      assert(eng.exactDistribution(0) == dist, s"$tag, bias $bad")
+    }
+  }
+
+  test("reloading baselines check the whole slice and its src before applying any of it") {
+    val (v, edges) = smallWorld(9)
+    for (f <- Seq(ReloadingEngine.KnightKing, ReloadingEngine.GSampler, ReloadingEngine.FlowWalker)) {
+      val eng = f.build(v, edges)
+      val deg = eng.outDegree(0)
+      val slice = Seq(Update(0L, insert = true, 0, 1, 2.0), Update(1L, insert = true, 0, 2, Double.NaN))
+      intercept[IllegalArgumentException](eng.applyVertexUpdates(0, slice))
+      assert(eng.outDegree(0) == deg, f.name)
+      Seq(-1, v).foreach { s =>
+        intercept[IllegalArgumentException](eng.applyVertexUpdates(s, Seq(Update(0L, insert = true, s, 1, 2.0))))
+      }
+    }
+  }
+
   test("memory ordering: Bingo adaptive < Bingo baseline; FlowWalker smallest") {
     val (v, edges) = smallWorld(6)
     val ad = BingoEngine.factory().build(v, edges)
     val bs = BingoEngine.factory(adaptive = false).build(v, edges)
-    val fw = FlowWalkerEngine.factory.build(v, edges)
-    val gs = GSamplerEngine.factory.build(v, edges)
+    val fw = ReloadingEngine.FlowWalker.build(v, edges)
+    val gs = ReloadingEngine.GSampler.build(v, edges)
     assert(ad.memoryBytes < bs.memoryBytes)
     assert(fw.memoryBytes < gs.memoryBytes)
   }

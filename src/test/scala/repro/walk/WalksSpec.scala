@@ -27,9 +27,9 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
   private def engines(v: Int, edges: Vector[Edge]): Seq[WalkEngine] =
     Seq(
       BingoEngine.factory().build(v, edges),
-      KnightKingEngine.factory.build(v, edges),
-      GSamplerEngine.factory.build(v, edges),
-      FlowWalkerEngine.factory.build(v, edges),
+      ReloadingEngine.KnightKing.build(v, edges),
+      ReloadingEngine.GSampler.build(v, edges),
+      ReloadingEngine.FlowWalker.build(v, edges),
     )
 
   // ---------------- path validity across engines and apps ----------------
